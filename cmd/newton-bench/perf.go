@@ -82,7 +82,8 @@ type PerfSide struct {
 // PerfEntry is one benchmark's serial-vs-parallel comparison.
 type PerfEntry struct {
 	Name string `json:"name"`
-	// SimCycles is the simulated duration of one op (0 for sweeps).
+	// SimCycles is the mean simulated duration of one op over the
+	// serial side's reported repetition (0 for sweeps).
 	SimCycles int64    `json:"sim_cycles_per_op"`
 	Serial    PerfSide `json:"serial"`
 	Parallel  PerfSide `json:"parallel"`
@@ -280,13 +281,17 @@ func mvmIdentical(s, p *host.Result) bool {
 }
 
 // measureMVM benchmarks repeated RunMVM on one controller and returns
-// the side plus the simulated cycles of the last op. With observed set,
-// the controller publishes to a live registry and tracer throughout, so
-// the side prices the full metering path (counter updates, histogram
-// observes, span appends) rather than the nil-registry fast path. With
-// oracle set, the stepping reference engine runs instead of the event
-// core; with vary set, two inputs alternate so every event-core run
-// misses the result memo (the steady-state cold-compute price).
+// the side plus the mean simulated cycles per op. Throughput is the
+// reported repetition's total simulated cycles over its total host
+// time, not one op's cycles over ns/op: per-run cycles vary with the
+// refresh phase, so pricing one op would move the figure with b.N.
+// With observed set, the controller publishes to a live registry and
+// tracer throughout, so the side prices the full metering path (counter
+// updates, histogram observes, span appends) rather than the
+// nil-registry fast path. With oracle set, the stepping reference
+// engine runs instead of the event core; with vary set, two inputs
+// alternate so every event-core run misses the result memo (the
+// steady-state cold-compute price).
 func measureMVM(channels, banks int, seed int64, b workloads.Bench, parallel int, observed, oracle, vary bool) (PerfSide, int64, error) {
 	ctrl, p, v, err := mvmSetup(channels, banks, seed, b, parallel, false, oracle)
 	if err != nil {
@@ -296,10 +301,13 @@ func measureMVM(channels, banks int, seed int64, b workloads.Bench, parallel int
 		ctrl.Observe(obs.New(), &obs.Tracer{})
 	}
 	v2 := bf16.Vector(layout.RandomMatrix(b.Cols, 1, seed+2).Data)
+	// cycles totals the simulated cycles of the closure's latest call,
+	// the one testing.Benchmark reports.
 	var cycles int64
 	var benchErr error
 	bench := func(tb *testing.B) {
 		tb.ReportAllocs()
+		cycles = 0
 		for i := 0; i < tb.N; i++ {
 			in := v
 			if vary && i%2 == 1 {
@@ -310,7 +318,7 @@ func measureMVM(channels, banks int, seed int64, b workloads.Bench, parallel int
 				benchErr = err
 				tb.Fatal(err)
 			}
-			cycles = res.Cycles
+			cycles += res.Cycles
 		}
 	}
 	// Best of three repetitions: the simulated work is deterministic, so
@@ -323,13 +331,14 @@ func measureMVM(channels, banks int, seed int64, b workloads.Bench, parallel int
 	if benchErr != nil {
 		return PerfSide{}, 0, benchErr
 	}
+	total := cycles
 	for rep := 1; rep < 3; rep++ {
 		r2 := testing.Benchmark(bench)
 		if benchErr != nil {
 			return PerfSide{}, 0, benchErr
 		}
 		if r2.NsPerOp() < r.NsPerOp() {
-			r = r2
+			r, total = r2, cycles
 		}
 	}
 	side := PerfSide{
@@ -337,10 +346,10 @@ func measureMVM(channels, banks int, seed int64, b workloads.Bench, parallel int
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 	}
-	if side.NsPerOp > 0 {
-		side.SimCyclesPerSec = float64(cycles) * 1e9 / float64(side.NsPerOp)
+	if ns := r.T.Nanoseconds(); ns > 0 {
+		side.SimCyclesPerSec = float64(total) * 1e9 / float64(ns)
 	}
-	return side, cycles, nil
+	return side, total / int64(r.N), nil
 }
 
 // perfEntryMVM measures one workload serially and in parallel, checks
