@@ -80,7 +80,7 @@ func (r *run) idleStandby(at float64) {
 		if !r.f.devices[i].Standby || d.cold || d.dead {
 			continue
 		}
-		if len(d.queue) > 0 || d.free > at {
+		if d.queue.Len() > 0 || d.free > at {
 			continue
 		}
 		d.cold = true

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"newton/internal/fifo"
 	"newton/internal/obs"
 )
 
@@ -32,7 +33,7 @@ type pending struct {
 
 // join tracks a row-split request's outstanding slices: the request
 // completes ReduceNs after its slowest slice, or counts shed once if
-// any slice was dropped.
+// any slice was dropped. It is live while remaining > 0.
 type join struct {
 	t         float64
 	remaining int
@@ -40,9 +41,13 @@ type join struct {
 	shed      bool
 }
 
-// devRun is one device's per-run state.
+// devRun is one device's per-run state. Its queue holds units in
+// append order (admission, shed-oldest replacement, failover drain) as
+// a fifo.PerModel: the head model's MaxBatch-th unit is At(MaxBatch-1)
+// of its FIFO, and a launch pops that FIFO's front — the units a scan
+// of one mixed queue in append order would pick.
 type devRun struct {
-	queue    []pending
+	queue    fifo.PerModel[pending]
 	free     float64
 	cold     bool
 	dead     bool
@@ -57,13 +62,16 @@ type run struct {
 	f      *Fleet
 	opt    Options
 	devs   []devRun
-	joins  map[int]*join
+	joins  []join       // per request index (split placements only)
 	spans  []obs.SpanID // per-request root span (tracer runs only)
 	total  Metrics
 	rs     RouterStats
 	window []float64
 	queued int64
 	tr     *obs.Tracer
+
+	targets []int     // route scratch: a split request's slice devices
+	members []pending // launch scratch: the batch being served
 }
 
 // Replay routes the request stream through the fleet and returns the
@@ -83,13 +91,19 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 	}
 
 	r := &run{
-		f:     f,
-		opt:   f.opt,
-		devs:  make([]devRun, len(f.devices)),
-		joins: make(map[int]*join),
-		tr:    f.opt.Tracer,
+		f:    f,
+		opt:  f.opt,
+		devs: make([]devRun, len(f.devices)),
+		tr:   f.opt.Tracer,
+	}
+	for _, pl := range f.place {
+		if len(pl.Slices) > 0 {
+			r.joins = make([]join, len(ordered))
+			break
+		}
 	}
 	r.total.FirstArrival = math.Inf(1)
+	r.total.Latency.Grow(len(ordered))
 	for i := range r.devs {
 		r.devs[i].cold = f.devices[i].Standby
 		r.devs[i].m.FirstArrival = math.Inf(1)
@@ -172,26 +186,16 @@ func (r *run) nextLaunch() (float64, int) {
 // passes — and never before a warming device's activeAt.
 func (r *run) launchTime(di int) float64 {
 	dr := &r.devs[di]
-	if dr.dead || dr.cold || len(dr.queue) == 0 {
+	if dr.dead || dr.cold || dr.queue.Len() == 0 {
 		return math.Inf(1)
 	}
-	head := dr.queue[0]
+	q := dr.queue.Head()
 	maxBatch := r.opt.maxBatch()
-	n, fullAt := 0, 0.0
-	for _, p := range dr.queue {
-		if p.model == head.model {
-			n++
-			if n == maxBatch {
-				fullAt = p.rt
-				break
-			}
-		}
-	}
 	var at float64
-	if n >= maxBatch {
-		at = math.Max(dr.free, fullAt)
+	if q.Len() >= maxBatch {
+		at = math.Max(dr.free, q.At(maxBatch-1).rt)
 	} else {
-		at = math.Max(dr.free, head.rt+r.opt.maxWait())
+		at = math.Max(dr.free, q.At(0).rt+r.opt.maxWait())
 	}
 	if dr.activeAt > at {
 		at = dr.activeAt
@@ -228,18 +232,19 @@ func (r *run) route(q Request, idx int) {
 		// Resolve every slice target before admitting anything: a slice
 		// with no live server sheds the whole request rather than
 		// burning sibling devices on a fan-out that can never reduce.
-		targets := make([]int, len(pl.Slices))
-		for si, di := range pl.Slices {
+		targets, live := r.targets[:0], true
+		for _, di := range pl.Slices {
 			if r.devs[di].dead {
 				di = r.drainTarget(di, q.Model, int64(idx))
 			}
 			if di < 0 || r.devs[di].dead || r.devs[di].cold {
-				targets = nil
+				live = false
 				break
 			}
-			targets[si] = di
+			targets = append(targets, di)
 		}
-		if targets == nil {
+		r.targets = targets
+		if !live {
 			r.total.Shed++
 			if r.tr != nil {
 				r.tr.Instant(routerTrack, "shed", q.T, 0,
@@ -251,7 +256,7 @@ func (r *run) route(q Request, idx int) {
 		if r.tr != nil {
 			r.spans[idx] = r.tr.Begin(routerTrack, "request", q.T, 0)
 		}
-		r.joins[idx] = &join{t: q.T, remaining: len(targets), done: q.T}
+		r.joins[idx] = join{t: q.T, remaining: len(targets), done: q.T}
 		r.rs.Fanout += int64(len(targets))
 		for si, di := range targets {
 			r.admit(di, pending{t: q.T, rt: q.T, model: q.Model, req: idx, slice: si})
@@ -301,8 +306,8 @@ func (r *run) pickReplica(pl Placement, key int64) (dev int, preferred bool) {
 			continue
 		}
 		b, d := &r.devs[best], &r.devs[di]
-		if len(d.queue) < len(b.queue) ||
-			(len(d.queue) == len(b.queue) && d.free < b.free) {
+		if d.queue.Len() < b.queue.Len() ||
+			(d.queue.Len() == b.queue.Len() && d.free < b.free) {
 			best = di
 		}
 	}
@@ -316,11 +321,11 @@ func (r *run) admit(di int, p pending) {
 	if p.t < dr.m.FirstArrival {
 		dr.m.FirstArrival = p.t
 	}
-	if r.opt.QueueDepth > 0 && len(dr.queue) >= r.opt.QueueDepth {
+	if r.opt.QueueDepth > 0 && dr.queue.Len() >= r.opt.QueueDepth {
 		var victim pending
 		if r.opt.Shed == ShedOldest {
-			victim = dr.queue[0]
-			dr.queue = append(dr.queue[1:], p)
+			victim = dr.queue.PopOldest()
+			dr.queue.Push(p.model, p)
 		} else {
 			victim = p
 		}
@@ -332,9 +337,9 @@ func (r *run) admit(di int, p pending) {
 		r.fleetShed(victim, p.rt)
 		return
 	}
-	dr.queue = append(dr.queue, p)
+	dr.queue.Push(p.model, p)
 	r.queued++
-	if n := int64(len(dr.queue)); n > dr.m.PeakQueue {
+	if n := int64(dr.queue.Len()); n > dr.m.PeakQueue {
 		dr.m.PeakQueue = n
 	}
 }
@@ -351,10 +356,7 @@ func (r *run) fleetShed(p pending, at float64) {
 		}
 		return
 	}
-	j := r.joins[p.req]
-	if j == nil {
-		return
-	}
+	j := &r.joins[p.req]
 	j.shed = true
 	if at > j.done {
 		j.done = at
@@ -365,39 +367,21 @@ func (r *run) fleetShed(p pending, at float64) {
 	}
 }
 
-// launch coalesces up to MaxBatch queued units of the head's model
-// (FIFO, leaving other models queued), prices the batch on the device's
+// launch pops up to MaxBatch units from the front of the head model's
+// FIFO (leaving other models queued), prices the batch on the device's
 // backend, and records per-unit and fleet-level completions.
 func (r *run) launch(di int, at float64) {
 	dr := &r.devs[di]
-	head := dr.queue[0]
-	maxBatch := r.opt.maxBatch()
-
-	// Fast path: the batch is a queue prefix (always true for a device
-	// serving one model). Otherwise compact-scan like the serve layer.
-	k := 0
-	for k < len(dr.queue) && k < maxBatch && dr.queue[k].model == head.model {
-		k++
+	q := dr.queue.Head()
+	model, maxBatch := q.Model, r.opt.maxBatch()
+	members := r.members[:0]
+	for len(members) < maxBatch && q.Len() > 0 {
+		members = append(members, dr.queue.Pop(q))
 	}
-	var members []pending
-	if k == maxBatch || k == len(dr.queue) {
-		members = dr.queue[:k:k]
-		dr.queue = dr.queue[k:]
-	} else {
-		members = append(members, dr.queue[:k]...)
-		rest := make([]pending, 0, len(dr.queue)-k)
-		for _, p := range dr.queue[k:] {
-			if p.model == head.model && len(members) < maxBatch {
-				members = append(members, p)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		dr.queue = rest
-	}
+	r.members = members
 	r.queued -= int64(len(members))
 
-	service := r.f.devices[di].Backend.ServiceCycles(head.model, len(members))
+	service := r.f.devices[di].Backend.ServiceCycles(model, len(members))
 	done := at + service
 	dr.free = done
 	dr.m.Launches++
@@ -409,7 +393,7 @@ func (r *run) launch(di int, at float64) {
 	name := r.f.devices[di].Name
 	if r.tr != nil {
 		r.tr.Span(name, "batch", at, done, 0,
-			obs.Arg{Key: "model", Value: strconv.Itoa(head.model)},
+			obs.Arg{Key: "model", Value: strconv.Itoa(model)},
 			obs.Arg{Key: "batch", Value: strconv.Itoa(len(members))})
 	}
 	for _, p := range members {
@@ -441,10 +425,7 @@ func (r *run) completeUnit(p pending, done float64) {
 		r.onComplete(lat, done)
 		return
 	}
-	j := r.joins[p.req]
-	if j == nil {
-		return
-	}
+	j := &r.joins[p.req]
 	if done > j.done {
 		j.done = done
 	}
@@ -458,7 +439,6 @@ func (r *run) completeUnit(p pending, done float64) {
 // router reduces the partial results (ReduceNs) and records the
 // request-level latency, or counts the request shed exactly once.
 func (r *run) finishJoin(idx int, j *join) {
-	delete(r.joins, idx)
 	span := obs.SpanID(0)
 	if r.tr != nil {
 		span = r.spans[idx]
@@ -495,13 +475,12 @@ func (r *run) failDevice(di int) {
 	dr := &r.devs[di]
 	dr.dead = true
 	at := r.f.devices[di].FailAt
-	q := dr.queue
-	dr.queue = nil
 	if r.tr != nil {
 		r.tr.Instant(r.f.devices[di].Name, "fail", at, 0,
-			obs.Arg{Key: "drained", Value: strconv.Itoa(len(q))})
+			obs.Arg{Key: "drained", Value: strconv.Itoa(dr.queue.Len())})
 	}
-	for _, p := range q {
+	for dr.queue.Len() > 0 {
+		p := dr.queue.PopOldest()
 		tgt := r.drainTarget(di, p.model, int64(p.req))
 		if tgt < 0 {
 			r.queued--
@@ -514,8 +493,8 @@ func (r *run) failDevice(di int) {
 		dr.m.DrainedOut++
 		t := &r.devs[tgt]
 		t.m.DrainedIn++
-		t.queue = append(t.queue, p)
-		if n := int64(len(t.queue)); n > t.m.PeakQueue {
+		t.queue.Push(p.model, p)
+		if n := int64(t.queue.Len()); n > t.m.PeakQueue {
 			t.m.PeakQueue = n
 		}
 		r.rs.Drained++

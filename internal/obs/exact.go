@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -25,6 +26,14 @@ type ExactHistogram struct {
 func (h *ExactHistogram) Record(v float64) {
 	h.samples = append(h.samples, v)
 	h.sorted = false
+}
+
+// Grow makes room for n more samples, so that many Records append
+// without reallocating. It changes capacity only: a caller that knows
+// its sample count up front (one sample per request of a stream) saves
+// the doubling copies and their garbage.
+func (h *ExactHistogram) Grow(n int) {
+	h.samples = slices.Grow(h.samples, n)
 }
 
 // Count returns the number of recorded samples.

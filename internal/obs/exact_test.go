@@ -66,6 +66,33 @@ func TestExactHistogramMergeEach(t *testing.T) {
 	}
 }
 
+// Grow reserves capacity only: the samples and their order stay, and
+// the reserved Records do not allocate.
+func TestExactHistogramGrow(t *testing.T) {
+	var h ExactHistogram
+	h.Record(2)
+	h.Record(1)
+	// AllocsPerRun runs the body once more as a warm-up.
+	h.Grow(200)
+	var seen []float64
+	h.Each(func(v float64) { seen = append(seen, v) })
+	if !reflect.DeepEqual(seen, []float64{2, 1}) {
+		t.Fatalf("after Grow: samples %v, want [2 1]", seen)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			h.Record(float64(i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("100 reserved Records allocated %v times", allocs)
+	}
+	h.Grow(0)
+	if h.Count() != 202 || h.Max() != 99 {
+		t.Fatalf("count=%d max=%v", h.Count(), h.Max())
+	}
+}
+
 func TestExactHistogramBuckets(t *testing.T) {
 	var h ExactHistogram
 	for _, v := range []float64{0.5, 3, 10} {

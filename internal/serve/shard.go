@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"newton/internal/fifo"
 	"newton/internal/obs"
 )
 
@@ -77,6 +78,12 @@ func (o Options) maxWait() float64 {
 // of a single device (the shard's channel partition, which serves one
 // batch at a time — the paper's per-channel exclusivity, §III-D).
 //
+// The admission queue is a fifo.PerModel of arrival indices: the
+// head model's batch is full when its FIFO holds MaxBatch, and a launch
+// pops that FIFO's front — the model's first MaxBatch requests in
+// admission order, the members a scan of one mixed queue would pick.
+// Every event costs O(models + batch), not O(queue).
+//
 // The simulation is sequential and allocation-light; concurrency lives
 // one level up, where every shard runs its own worker goroutine.
 type shardSim struct {
@@ -92,10 +99,11 @@ type shardSim struct {
 	detected int64
 	health   Health
 
-	arr   []Request
-	queue []int // indices into arr: admitted, waiting
-	free  float64
-	m     Metrics
+	arr     []Request
+	queue   fifo.PerModel[int] // indices into arr: admitted, waiting
+	members []int              // launch scratch: the batch being served
+	free    float64
+	m       Metrics
 
 	// name labels this shard's span track; tr is the worker-private
 	// tracer (nil = tracing off) that Run merges in shard order.
@@ -108,26 +116,30 @@ func (s *shardSim) run() Metrics {
 	maxBatch := s.opt.maxBatch()
 	maxWait := s.opt.maxWait()
 	s.m.FirstArrival = math.Inf(1)
+	// Each request adds at most one sample to each histogram (to Batch,
+	// one per launch).
+	for _, h := range []*Histogram{&s.m.Latency, &s.m.QueueWait, &s.m.Service, &s.m.Batch} {
+		h.Grow(len(s.arr))
+	}
 
 	i := 0 // next un-admitted arrival
 	clock := 0.0
-	for i < len(s.arr) || len(s.queue) > 0 {
-		if len(s.queue) == 0 {
+	for i < len(s.arr) || s.queue.Len() > 0 {
+		if s.queue.Len() == 0 {
 			clock = s.arr[i].T
 			s.admit(i)
 			i++
 			continue
 		}
-		head := s.queue[0]
-		model := s.arr[head].Model
+		q := s.queue.Head()
 		var launchAt float64
-		if s.sameModelQueued(model) >= maxBatch {
+		if q.Len() >= maxBatch {
 			// Full batch: launch as soon as the device frees up.
 			launchAt = math.Max(s.free, clock)
 		} else {
 			// Hold for co-batchable arrivals until the head's deadline,
 			// or until the device frees up, whichever is later.
-			launchAt = math.Max(s.free, s.arr[head].T+maxWait)
+			launchAt = math.Max(s.free, s.arr[q.At(0)].T+maxWait)
 		}
 		if i < len(s.arr) && s.arr[i].T < launchAt {
 			clock = s.arr[i].T
@@ -140,7 +152,7 @@ func (s *shardSim) run() Metrics {
 			break
 		}
 		clock = launchAt
-		s.launch(model, maxBatch, launchAt)
+		s.launch(q, maxBatch, launchAt)
 	}
 	if math.IsInf(s.m.FirstArrival, 1) {
 		s.m.FirstArrival = 0
@@ -155,12 +167,12 @@ func (s *shardSim) run() Metrics {
 // every remaining arrival (requests that were not failed over) is shed.
 func (s *shardSim) fail(next int) {
 	s.health = Failed
-	s.m.Shed += int64(len(s.queue))
+	s.m.Shed += int64(s.queue.Len())
 	if s.tr != nil {
 		s.tr.Instant(s.name, "fail", s.plan.FailAt, 0,
-			obs.Arg{Key: "shed_queued", Value: strconv.Itoa(len(s.queue))})
+			obs.Arg{Key: "shed_queued", Value: strconv.Itoa(s.queue.Len())})
 	}
-	s.queue = s.queue[:0]
+	s.queue = fifo.PerModel[int]{}
 	for ; next < len(s.arr); next++ {
 		s.m.Arrived++
 		s.m.Shed++
@@ -176,48 +188,34 @@ func (s *shardSim) admit(idx int) {
 	if t := s.arr[idx].T; t < s.m.FirstArrival {
 		s.m.FirstArrival = t
 	}
-	if s.opt.QueueDepth > 0 && len(s.queue) >= s.opt.QueueDepth {
+	if s.opt.QueueDepth > 0 && s.queue.Len() >= s.opt.QueueDepth {
 		s.m.Shed++
 		if s.tr != nil {
 			s.tr.Instant(s.name, "shed", s.arr[idx].T, 0,
 				obs.Arg{Key: "policy", Value: s.opt.Policy.String()})
 		}
 		if s.opt.Policy == ShedOldest {
-			s.queue = append(s.queue[1:], idx)
+			s.queue.PopOldest()
+			s.queue.Push(s.arr[idx].Model, idx)
 		}
 		return
 	}
-	s.queue = append(s.queue, idx)
-	if n := int64(len(s.queue)); n > s.m.PeakQueue {
+	s.queue.Push(s.arr[idx].Model, idx)
+	if n := int64(s.queue.Len()); n > s.m.PeakQueue {
 		s.m.PeakQueue = n
 	}
 }
 
-// sameModelQueued counts queued requests for the model.
-func (s *shardSim) sameModelQueued(model int) int {
-	n := 0
-	for _, idx := range s.queue {
-		if s.arr[idx].Model == model {
-			n++
-		}
+// launch coalesces up to maxBatch queued requests from the front of
+// the model's FIFO (leaving other models queued), runs them as one
+// batch on the backend, and records per-request metrics.
+func (s *shardSim) launch(q *fifo.ModelFIFO[int], maxBatch int, at float64) {
+	model := q.Model
+	members := s.members[:0]
+	for len(members) < maxBatch && q.Len() > 0 {
+		members = append(members, s.queue.Pop(q))
 	}
-	return n
-}
-
-// launch coalesces up to maxBatch queued requests of the model (FIFO
-// order, leaving other models queued), runs them as one batch on the
-// backend, and records per-request metrics.
-func (s *shardSim) launch(model, maxBatch int, at float64) {
-	members := make([]int, 0, maxBatch)
-	rest := s.queue[:0]
-	for _, idx := range s.queue {
-		if s.arr[idx].Model == model && len(members) < maxBatch {
-			members = append(members, idx)
-		} else {
-			rest = append(rest, idx)
-		}
-	}
-	s.queue = rest
+	s.members = members
 
 	service := s.backend.ServiceCycles(model, len(members))
 	if s.plan != nil && s.plan.DegradeAfter > 0 && s.detected >= s.plan.DegradeAfter {
