@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,8 +91,10 @@ func TestReplayRejectsBadStreams(t *testing.T) {
 	f := mustFleet(t,
 		[]Device{{Backend: flat(100), Models: []int{0}}},
 		[]Placement{{Model: 0, Replicas: []int{0}}}, Options{})
-	if _, err := f.Replay(reqs(0, -1)); err == nil {
-		t.Error("negative arrival time accepted")
+	for _, at := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := f.Replay(reqs(0, 0, at, 10)); err == nil {
+			t.Errorf("arrival time %g accepted", at)
+		}
 	}
 	if _, err := f.Replay(reqs(7, 0)); err == nil {
 		t.Error("unplaced model accepted")

@@ -82,7 +82,7 @@ func (f *Fleet) Replay(reqs []Request) (*Result, error) {
 	ordered := append([]Request(nil), reqs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].T < ordered[j].T })
 	for _, q := range ordered {
-		if q.T < 0 || math.IsNaN(q.T) {
+		if !(q.T >= 0) || math.IsInf(q.T, 1) {
 			return nil, fmt.Errorf("cluster: bad arrival time %g", q.T)
 		}
 		if _, ok := f.place[q.Model]; !ok {

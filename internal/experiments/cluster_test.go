@@ -29,6 +29,10 @@ func TestClusterStudy(t *testing.T) {
 				p.QPS, p.NewtonP50, p.NewtonP95, p.NewtonP99)
 		}
 	}
+	// Four DLRM-s1 devices serve at least 10M virtual qps at the top load.
+	if top := pts[len(pts)-1]; top.NewtonTput < 1e7 {
+		t.Errorf("load %g: fleet capacity %.2fM qps, want >= 10M", top.QPS, top.NewtonTput/1e6)
+	}
 	// At the lightest load every Newton request is served unbatched at
 	// the device's measured service time: the fleet p50 is exactly it.
 	if pts[0].NewtonP50 != sum.NewtonService {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"newton/internal/nn"
+	"newton/internal/workloads"
 )
 
 // e2eTestModels keeps the study quick: two small stacks, one with a
@@ -87,5 +88,31 @@ func TestE2EDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) || ma != mb {
 		t.Errorf("parallel and serial e2e runs differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestE2EDLRMEnvelope runs the paper's DLRM stack at the default
+// configuration: keeping the whole model on the device must not lose to
+// the host loop, the device output must stay inside the documented
+// bfloat16 LUT envelope (max |diff| <= 4), and two independent runs must
+// produce identical rows.
+func TestE2EDLRMEnvelope(t *testing.T) {
+	models := []nn.Model{workloads.DLRM()}
+	a, _, err := Default().E2E(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Default().E2E(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 1 {
+		t.Fatalf("got %d rows, want 1", len(a))
+	}
+	if r := a[0]; r.Ratio < 1 || r.MaxAbsDiff > 4 {
+		t.Errorf("%s: speedup %.2fx (want >= 1), max |diff| %.3g (want <= 4)", r.Name, r.Ratio, r.MaxAbsDiff)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("independent DLRM e2e runs differ:\n%+v\n%+v", a, b)
 	}
 }

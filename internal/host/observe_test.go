@@ -210,9 +210,10 @@ func TestSelfCheckWithinEnvelope(t *testing.T) {
 }
 
 // TestRunMVMAllocationBudget is the nil-registry hot-path gate: with no
-// observability attached, a serial GNMT-s1-shaped RunMVM must stay at
-// PR4's allocation budget (11 allocs/op). The observability hook is one
-// pointer check; attaching nothing must cost nothing.
+// observability attached, a serial RunMVM of each Table II shape below
+// must stay at its allocation budget (GNMT-s1 11, BERT-s2 23, DLRM-s1 9
+// allocs/op). The observability hook is one pointer check; attaching
+// nothing must cost nothing.
 func TestRunMVMAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate runs full-size MVMs")
@@ -220,22 +221,32 @@ func TestRunMVMAllocationBudget(t *testing.T) {
 	cfg := dram.Config{Geometry: dram.HBM2EGeometry(32), Timing: dram.AiMTiming()}
 	opts := Newton()
 	opts.Parallel = ParallelOff
-	c, err := NewController(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := layout.RandomMatrix(4096, 1024, 11)
-	p, err := c.Place(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := randomVector(m.Cols, 12)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := c.RunMVM(p, v); err != nil {
+	for _, s := range []struct {
+		name       string
+		rows, cols int
+		budget     float64
+	}{
+		{"GNMT-s1", 4096, 1024, 11},
+		{"BERT-s2", 1024, 4096, 23},
+		{"DLRM-s1", 512, 256, 9},
+	} {
+		c, err := NewController(cfg, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 11 {
-		t.Errorf("nil-registry serial RunMVM = %.0f allocs/op, want <= 11 (PR4 budget)", allocs)
+		m := layout.RandomMatrix(s.rows, s.cols, 11)
+		p, err := c.Place(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := randomVector(m.Cols, 12)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := c.RunMVM(p, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > s.budget {
+			t.Errorf("%s: nil-registry serial RunMVM = %.0f allocs/op, want <= %.0f", s.name, allocs, s.budget)
+		}
 	}
 }

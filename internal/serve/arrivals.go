@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -71,8 +72,8 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		if _, err := fmt.Sscanf(text, "%g %d", &req.T, &req.Model); err != nil {
 			return nil, fmt.Errorf("serve: trace line %d %q: %w", line, text, err)
 		}
-		if req.T < 0 || req.Model < 0 {
-			return nil, fmt.Errorf("serve: trace line %d %q: negative field", line, text)
+		if !validArrival(req.T) || req.Model < 0 {
+			return nil, fmt.Errorf("serve: trace line %d %q: arrival must be finite and >= 0, model >= 0", line, text)
 		}
 		reqs = append(reqs, req)
 	}
@@ -81,6 +82,12 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].T < reqs[j].T })
 	return reqs, nil
+}
+
+// validArrival reports whether t is a usable arrival time: finite and
+// not negative.
+func validArrival(t float64) bool {
+	return t >= 0 && !math.IsInf(t, 1)
 }
 
 // FormatTrace writes requests in the ParseTrace format.

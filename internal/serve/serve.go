@@ -110,8 +110,8 @@ func Run(shards []Shard, reqs []Request, opt Options) (*Result, error) {
 	streams := make([][]Request, len(shards))
 	rerouted := make([]int64, len(shards)) // failover reroutes, by origin shard
 	for _, r := range ordered {
-		if r.T < 0 {
-			return nil, fmt.Errorf("serve: negative arrival time %g", r.T)
+		if !validArrival(r.T) {
+			return nil, fmt.Errorf("serve: bad arrival time %g", r.T)
 		}
 		si, ok := route[r.Model]
 		if !ok {

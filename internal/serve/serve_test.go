@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -180,8 +181,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(dup, nil, Options{}); err == nil {
 		t.Error("duplicate model routing should error")
 	}
-	if _, err := Run(oneShard(tb(1)), []Request{{T: -5}}, Options{}); err == nil {
-		t.Error("negative arrival should error")
+	for _, at := range []float64{-5, math.NaN(), math.Inf(1)} {
+		reqs := []Request{{T: 0}, {T: at}, {T: 10}}
+		if _, err := Run(oneShard(tb(1)), reqs, Options{}); err == nil {
+			t.Errorf("arrival time %g should error", at)
+		}
 	}
 	if _, err := Run([]Shard{{Name: "n"}}, nil, Options{}); err == nil {
 		t.Error("nil backend should error")
@@ -369,8 +373,12 @@ func TestTraceRoundTrip(t *testing.T) {
 	if _, err := ParseTrace(strings.NewReader("bogus line\n")); err == nil {
 		t.Error("junk should error")
 	}
-	if _, err := ParseTrace(strings.NewReader("-5 0\n")); err == nil {
-		t.Error("negative time should error")
+	for _, line := range []string{"-5 0", "NaN 0", "+Inf 0", "Inf 0"} {
+		if _, err := ParseTrace(strings.NewReader("1 0\n" + line + "\n")); err == nil {
+			t.Errorf("arrival %q should error", line)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("arrival %q: error %q does not name line 2", line, err)
+		}
 	}
 }
 
